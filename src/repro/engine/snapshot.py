@@ -38,10 +38,10 @@ directory, flushed, ``fsync``\\ ed, then atomically renamed — a torn write
 can never shadow a good snapshot — and the directory keeps only the last
 K files.  The durable half runs on a background writer thread (at most
 one write in flight), so the simulation itself only pays serialization
-time; at the 10k-host rung that turns a multi-second fsync of a ~340 MB
-payload into sub-second overhead per checkpoint.  A JSON header line precedes the pickle payload carrying the
-format version and a config fingerprint; restoring with a mismatched
-version or fingerprint raises :class:`~repro.errors.StateError` naming
+time; at the 10k-host rung that keeps the fsync of each ~11 MB payload
+off the simulation's critical path.  A JSON header line precedes the
+pickle payload carrying the format version and a config fingerprint;
+restoring with a mismatched version or fingerprint raises :class:`~repro.errors.StateError` naming
 both sides, never a silent wrong-state resume.
 
 Determinism contract: writing a snapshot is a pure read of the engine
@@ -90,7 +90,9 @@ __all__ = [
 #: clear :class:`StateError` instead of resuming wrong state.
 #: 2: batched engine refresh — the engine pickle gained the share memo
 #:    (``_share_memo``) and the cached ``_batched_refresh`` flag.
-SNAPSHOT_VERSION = 2
+#: 3: the pickled score matrix layout changed — cells for available
+#:    hosts only, behind a row-slot registry (``_slot_of``/``_free_rows``).
+SNAPSHOT_VERSION = 3
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

@@ -5,9 +5,21 @@ scheduling rounds instead of rebuilding O(online x N) cells per round
 (:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`).  It shares
 the column slot registry of
 :class:`~repro.scheduling.score.columnar.ColumnarClusterState` — a matrix
-column *is* a columnar VM slot — and stores one persistent ``(M, cap)``
-cell array plus per-slot column attributes (current host, queued flag,
-migration-penalty bucket, SLA fulfilment, current cost, argmin cache).
+column *is* a columnar VM slot — and stores per-slot column attributes
+(current host, queued flag, migration-penalty bucket, SLA fulfilment,
+current cost, argmin cache).
+
+**Row-slot registry.**  Cells exist only for *available* hosts: the
+cell array is ``(row_cap, cap)`` and ``_slot_of[host]`` maps a host to
+its matrix row (``-1`` when it has none).  A host holds a row slot iff
+``avail[host]``; slots are assigned at construction and assigned or
+released (through a free list) only where :meth:`bind_round` sees a
+dirty host's availability flip.  ``row_cap``
+doubles from a small start, mirroring the column registry's growth, so
+memory follows the number of concurrently available hosts — a few
+percent of the cluster under the lambda power manager — not the
+cluster size.  Every read gathers through ``_slot_of`` with host
+indices in ascending order, so ties still resolve to the lowest host.
 
 Per round, :meth:`bind_round`:
 
@@ -15,8 +27,9 @@ Per round, :meth:`bind_round`:
    mutation, including power transitions and quarantine — the setters mark
    dirty), rows touched hypothetically by last round's
    :meth:`apply_move` calls, and rows whose observed-reliability override
-   changed; restores their dynamic state from the columnar ground truth
-   and rescores them across all live columns;
+   changed; restores their dynamic state from the columnar ground truth,
+   moves row slots on availability flips, and rescores them across the
+   round's columns (lazily — see the stamps below);
 2. detects **changed columns** among the round's participants by comparing
    stored column attributes against fresh ones (placement changed, queued
    flag flipped, migration-penalty bucket crossed, SLA fulfilment moved,
@@ -26,6 +39,14 @@ Per round, :meth:`bind_round`:
    availability flip among the dirty rows — the steady state pays no O(M)
    scan) and keeps the per-column argmin caches valid under the partial
    rescoring via a generalized multi-row take/rescan rule.
+
+**Why a recycled row slot is never read stale.**  A host returning to
+service is dirty at that bind, so its ``_row_stamp`` is the current bind
+index and every column's ``_col_stamp`` is older.  Whenever a column is
+next read it participates in a round, and participation rescores it on
+every row stamped after its own stamp — including the returning host —
+before any cost, argmin or solver read.  Whatever the slot held for its
+previous owner is overwritten first.
 
 **The bit-identity invariant.**  Every cell is produced by the same
 elementwise float expressions as ``ScoreMatrixBuilder._score_rows`` (one
@@ -41,10 +62,13 @@ possible without breaking it:
   predicate becomes ``cm_rank[host] >= bucket`` — columns only need
   rescoring when ``T_r`` (monotonically decreasing) crosses a distinct
   ``C_m`` value, not every round;
-* cells of **unavailable rows are never read** (cost lookups guard on
-  ``avail``, minima scan active rows only), so a row going offline needs
-  no O(N) +inf fill and a recycled column slot may leave garbage behind
-  rows that are off.
+* cells of **unavailable rows are never stored or read**: they are +inf
+  by construction (the feasibility mask requires ``avail``), cost lookups
+  mask on ``avail`` before gathering, and minima scan active rows only.
+  Where an unavailable row's cells are still needed — a lazily caught-up
+  row that just went offline, or the source host of a migration off a
+  quarantined host — they are scored into a local block and used from
+  there.
 
 Tie-breaking is order-deterministic under partial rescoring: dirty rows
 are processed in ascending host index (the dirty feed is a *set*; sorting
@@ -79,6 +103,10 @@ from repro.scheduling.score.config import ScoreConfig
 __all__ = ["PersistentScoreMatrix"]
 
 INF = np.inf
+
+#: Smallest row capacity of the cell array; it doubles from here as the
+#: number of concurrently available hosts grows.
+ROW_CAP0 = 16
 
 
 def _log2_bucket(n: int) -> int:
@@ -150,9 +178,20 @@ class PersistentScoreMatrix:
         self._bind_idx = 0
         self._row_stamp = np.zeros(m, dtype=np.int64)
 
+        # ---- row-slot registry: matrix rows for available hosts only ----
+        n_act = self._active.size
+        row_cap = ROW_CAP0
+        while row_cap < n_act:
+            row_cap *= 2
+        self._slot_of = np.full(m, -1, dtype=np.intp)
+        self._slot_of[self._active] = np.arange(n_act)
+        #: Free row slots, a stack popped from the end.
+        self._free_rows: List[int] = list(range(row_cap - 1, n_act - 1, -1))
+        self._active_peak = n_act
+
         # ---- per-slot column state --------------------------------------
         cap = len(state.v_cpu)
-        self.scores = np.full((m, cap), INF)
+        self.scores = np.full((row_cap, cap), INF)
         self._peak_matrix_nbytes = self.scores.nbytes
         self._cur = np.full(cap, -1, dtype=int)
         self._q = np.zeros(cap, dtype=bool)
@@ -212,14 +251,7 @@ class PersistentScoreMatrix:
     def on_grow(self, new_cap: int) -> None:
         """The slot registry doubled: grow the column dimension to match."""
         old = self.scores.shape[1]
-        grown = np.full((self.n_rows, new_cap), INF)
-        # Both buffers are alive during the copy; peak process RSS sees
-        # old+new, so the footprint reported to the memory gate must too.
-        self._peak_matrix_nbytes = max(
-            self._peak_matrix_nbytes, self.scores.nbytes + grown.nbytes
-        )
-        grown[:, :old] = self.scores
-        self.scores = grown
+        self._regrow(self.scores.shape[0], new_cap)
         for name, fill in (
             ("_cur", -1),
             ("_q", False),
@@ -237,6 +269,42 @@ class PersistentScoreMatrix:
             new = np.full(new_cap, fill, dtype=arr.dtype)
             new[:old] = arr
             setattr(self, name, new)
+
+    def _regrow(self, row_cap: int, cap: int) -> None:
+        """Reallocate the cell array to ``(row_cap, cap)``, keeping cells."""
+        rows, cols = self.scores.shape
+        grown = np.full((row_cap, cap), INF)
+        # Both buffers are alive during the copy; peak process RSS sees
+        # old+new, so the footprint reported to the memory gate must too.
+        self._peak_matrix_nbytes = max(
+            self._peak_matrix_nbytes, self.scores.nbytes + grown.nbytes
+        )
+        grown[:rows, :cols] = self.scores
+        self.scores = grown
+
+    def _move_row_slots(self, gone: np.ndarray, back: np.ndarray) -> None:
+        """Release the row slots of hosts gone unavailable, assign new ones.
+
+        Releases first, so a bind that swaps hosts recycles their slots
+        and the row capacity only grows with the concurrently available
+        count.  A recycled slot keeps its old owner's cells: the host
+        taking it is stamped dirty, and no column reads it before being
+        rescored on it (module docstring).
+        """
+        free = self._free_rows
+        for h in gone:
+            free.append(int(self._slot_of[h]))
+            self._slot_of[h] = -1
+        if len(back) > len(free):
+            rows = self.scores.shape[0]
+            row_cap = rows
+            while row_cap - rows + len(free) < len(back):
+                row_cap *= 2
+            self._regrow(row_cap, self.scores.shape[1])
+            free[:0] = range(row_cap - 1, rows - 1, -1)
+        for h in back:
+            self._slot_of[h] = free.pop()
+        self._active_peak = max(self._active_peak, self._active.size)
 
     def _live_cols(self) -> np.ndarray:
         if self._live_dirty:
@@ -392,7 +460,7 @@ class PersistentScoreMatrix:
         """Per-slot current costs from the stored cells (fresh semantics).
 
         Unavailable current hosts read as +inf without touching the cell
-        array (their rows may hold garbage); infinite cells fall back to
+        array (they hold no row slot); infinite cells fall back to
         ``queue_cost`` or — under ``reprice_hard_sla`` — the soft pricing.
         """
         cfg = self.config
@@ -401,9 +469,9 @@ class PersistentScoreMatrix:
         placed = np.nonzero(cur >= 0)[0]
         if placed.size:
             rows = cur[placed]
-            vals = np.where(
-                self.avail[rows], self.scores[rows, slots[placed]], INF
-            )
+            on = self.avail[rows]
+            vals = np.full(placed.size, INF)
+            vals[on] = self.scores[self._slot_of[rows[on]], slots[placed[on]]]
             finite = np.isfinite(vals)
             costs[placed[finite]] = vals[finite]
             if cfg.reprice_hard_sla and not finite.all():
@@ -432,7 +500,10 @@ class PersistentScoreMatrix:
                 self._col_min_val[live] = INF
                 self._col_min_row[live] = 0
                 return
-            sub = self.scores[np.ix_(act, live)] - self._cost[live][None, :]
+            sub = (
+                self.scores[np.ix_(self._slot_of[act], live)]
+                - self._cost[live][None, :]
+            )
             k = np.argmin(sub, axis=0)
             self._col_min_row[live] = act[k]
             self._col_min_val[live] = sub[k, np.arange(len(live))]
@@ -482,9 +553,13 @@ class PersistentScoreMatrix:
             hs = np.fromiter(sorted(dirty), dtype=int, count=len(dirty))
             self._row_stamp[hs] = t
             avail_new = st.avail[hs]
-            if not np.array_equal(self.avail[hs], avail_new):
+            flip = self.avail[hs] != avail_new
+            if flip.any():
                 self.avail[hs] = avail_new
                 self._active = np.nonzero(self.avail)[0]
+                self._move_row_slots(
+                    hs[flip & ~avail_new], hs[flip & avail_new]
+                )
             self.res_cpu[hs] = st.res_cpu[hs]
             self.res_mem[hs] = st.res_mem[hs]
             self.nvms[hs] = st.nvms[hs]
@@ -532,8 +607,8 @@ class PersistentScoreMatrix:
 
         # ---- full rescore: stale/changed columns x active rows ----------
         if cols_changed.size and act.size:
-            self.scores[np.ix_(act, cols_changed)] = self._score_block(
-                act, cols_changed
+            self.scores[np.ix_(self._slot_of[act], cols_changed)] = (
+                self._score_block(act, cols_changed)
             )
             self._cells_rescored += act.size * cols_changed.size
 
@@ -542,7 +617,9 @@ class PersistentScoreMatrix:
         # stamped later changed since it last participated.  Group columns
         # by stamp (steady state: one group — last round's queue catching
         # up on this round's dirty rows) and rescore rows-behind x group.
-        # Non-participating columns pay nothing until they return.
+        # Non-participating columns pay nothing until they return.  Rows
+        # behind may have gone unavailable since: their cells are scored
+        # (all +inf) for the argmin pass below but not stored.
         groups = []
         lagged = slots[~changed]
         if lagged.size:
@@ -551,15 +628,17 @@ class PersistentScoreMatrix:
                 grp = lagged[stamps == s]
                 rows = np.nonzero(self._row_stamp > s)[0]
                 if rows.size:
-                    groups.append((s, grp, rows))
-                    self.scores[np.ix_(rows, grp)] = self._score_block(
-                        rows, grp
+                    block = self._score_block(rows, grp)
+                    groups.append((s, grp, rows, block))
+                    on = self.avail[rows]
+                    self.scores[np.ix_(self._slot_of[rows[on]], grp)] = (
+                        block[on]
                     )
                     self._cells_rescored += rows.size * grp.size
 
         # ---- current costs (changed cols + cols homed on changed rows) --
         parts = [cols_changed]
-        for s, grp, rows in groups:
+        for s, grp, rows, _ in groups:
             cur_g = self._cur[grp]
             placed = cur_g >= 0
             if placed.any():
@@ -578,8 +657,8 @@ class PersistentScoreMatrix:
 
         # ---- argmin maintenance: generalized multi-row take/rescan ------
         rescan_parts = [cols_changed, was_frozen]
-        for s, grp, rows in groups:
-            sub = self.scores[np.ix_(rows, grp)] - self._cost[grp][None, :]
+        for s, grp, rows, block in groups:
+            sub = block - self._cost[grp][None, :]
             k = np.argmin(sub, axis=0)  # rows ascending: lowest host wins
             w = sub[k, np.arange(grp.size)]
             rw = rows[k]
@@ -677,10 +756,15 @@ class PersistentScoreMatrix:
         touched = [row] if old < 0 else sorted({old, row})
         self._touched.update(touched)
         rs = self._round_slots
+        # Each touched row's cells, kept for the take/rescan below and
+        # stored only for rows holding a slot (``old`` may be offline,
+        # e.g. a VM migrating off a quarantined host).
+        row_vals = []
         for t in touched:
-            self.scores[t, rs] = self._score_block(
-                np.array([t], dtype=int), rs
-            )[0]
+            vals = self._score_row_slots(t, rs)
+            row_vals.append(vals)
+            if self.avail[t]:
+                self.scores[self._slot_of[t], rs] = vals
         self._cells_rescored += len(touched) * rs.size
         self._cells_total += len(touched) * rs.size
 
@@ -704,7 +788,7 @@ class PersistentScoreMatrix:
         r = self._col_min_row[rs]
         if len(touched) == 1:
             t0 = touched[0]
-            w = self.scores[t0, rs] - self._cost[rs]
+            w = row_vals[0] - self._cost[rs]
             take = lv & ((w < v) | ((w == v) & (r >= t0)))
             rescan = lv & (r == t0) & (w > v)
             if take.any():
@@ -712,8 +796,8 @@ class PersistentScoreMatrix:
                 self._col_min_val[t] = w[take]
                 self._col_min_row[t] = t0
         else:
-            d0 = self.scores[touched[0], rs] - self._cost[rs]
-            d1 = self.scores[touched[1], rs] - self._cost[rs]
+            d0 = row_vals[0] - self._cost[rs]
+            d1 = row_vals[1] - self._cost[rs]
             first = d0 <= d1
             w = np.where(first, d0, d1)
             rw = np.where(first, touched[0], touched[1])
@@ -737,7 +821,7 @@ class PersistentScoreMatrix:
         if not self.avail[row]:
             vals = np.full(self.n_cols, qc)
         else:
-            vals = self.scores[row, self._round_slots].copy()
+            vals = self.scores[self._slot_of[row], self._round_slots]
             vals[~np.isfinite(vals)] = qc
         return float(vals.mean())
 
@@ -773,7 +857,7 @@ class PersistentScoreMatrix:
         if not np.array_equal(act, np.nonzero(fresh.avail)[0]):
             raise StateError("persistent matrix drift: active row set")
         if act.size and rs.size:
-            mine = self.scores[np.ix_(act, rs)]
+            mine = self.scores[np.ix_(self._slot_of[act], rs)]
             theirs = fresh.scores[act]
             if not np.array_equal(mine, theirs):
                 bad = np.nonzero(mine != theirs)
@@ -821,7 +905,8 @@ class PersistentScoreMatrix:
         if not check.size or not rows.size:
             return True
         expect = self._score_block(rows, check)
-        got = self.scores[np.ix_(rows, check)]
+        slot_rows = self._slot_of[rows]
+        got = self.scores[np.ix_(slot_rows, check)]
         if not np.array_equal(expect, got):
             bad = np.nonzero(expect != got)
             r0, c0 = int(bad[0][0]), int(bad[1][0])
@@ -846,7 +931,10 @@ class PersistentScoreMatrix:
                 # The cached argmin row of every remaining column is in
                 # the scanned subset (touched-row argmins were filtered),
                 # so the partial scan must reproduce it exactly.
-                sub = self.scores[np.ix_(rows, nf)] - self._cost[nf][None, :]
+                sub = (
+                    self.scores[np.ix_(slot_rows, nf)]
+                    - self._cost[nf][None, :]
+                )
                 k = np.argmin(sub, axis=0)
                 val = sub[k, np.arange(nf.size)]
                 row = rows[k]
@@ -881,6 +969,8 @@ class PersistentScoreMatrix:
             "cells_total": float(self._cells_total),
             "full_rebuilds": float(self._full_rebuilds),
             "capacity": float(self.scores.shape[1]),
+            "row_capacity": float(self.scores.shape[0]),
+            "active_rows_peak": float(self._active_peak),
             "matrix_nbytes": float(self._peak_matrix_nbytes),
         }
         for bucket, count in sorted(self._row_hist.items()):

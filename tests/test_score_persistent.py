@@ -19,7 +19,9 @@ same cluster.  Three layers enforce it here:
   different orders must yield identical matrices and move sequences
   (the dirty feed is a set; binding sorts it).
 
-Plus the :class:`HostArrayCache` match-memoization regressions and the
+Plus the row-slot registry (cells stored for available hosts only:
+slot recycling, row growth, memory proportionality), the
+:class:`HostArrayCache` match-memoization regressions and the
 ``rescore_stats`` observability contract.
 """
 
@@ -37,7 +39,7 @@ from repro.errors import ConfigurationError, StateError
 from repro.scheduling.score import ScoreConfig, ScoreMatrixBuilder
 from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.matrix import HostArrayCache
-from repro.scheduling.score.persistent import PersistentScoreMatrix
+from repro.scheduling.score.persistent import ROW_CAP0, PersistentScoreMatrix
 from repro.scheduling.score.policy import ScoreBasedPolicy
 from repro.scheduling.score.solver import hill_climb
 from repro.workload.job import Job
@@ -365,6 +367,241 @@ class TestOrderDeterminism:
 
 
 # --------------------------------------------------------------------------
+# Row-slot registry: cells for available hosts only
+# --------------------------------------------------------------------------
+
+
+def _check_registry(matrix, peak):
+    """Slot invariants plus the memory-proportionality bound."""
+    slot_of = matrix._slot_of
+    held = slot_of[slot_of >= 0].tolist()
+    # A host holds a row slot iff it is available.
+    assert np.array_equal(slot_of >= 0, matrix.avail)
+    # Held and free slots partition the row capacity.
+    row_cap = matrix.scores.shape[0]
+    assert sorted(held + matrix._free_rows) == list(range(row_cap))
+    assert row_cap <= max(ROW_CAP0, 2 * peak)
+    stats = matrix.stats()
+    assert stats["row_capacity"] == row_cap
+    assert stats["active_rows_peak"] == peak
+
+
+def _bind_and_check(matrix, hosts, cache, columns, now, peak):
+    """Bind, verify against a fresh build, compare hill-climb moves."""
+    matrix.bind_round(columns, now)
+    peak = max(peak, int(matrix.avail.sum()))
+    assert matrix.verify_against_fresh(columns, now)
+    assert matrix.verify_cells()
+    _check_registry(matrix, peak)
+    fresh = ScoreMatrixBuilder(hosts=hosts, columns=columns, now=now,
+                               config=matrix.config, host_cache=cache)
+    moves = hill_climb(matrix)
+    assert moves == hill_climb(fresh)
+    # Hypothetical moves must not corrupt rows they did not touch.
+    assert matrix.verify_cells()
+    return moves, peak
+
+
+def _fail(host):
+    """Host failure: residents go back to the queue, the host goes down."""
+    for vm in list(host.vms.values()):
+        host.remove_vm(vm.vm_id)
+        vm.state = VmState.QUEUED
+        vm.host_id = None
+    host.state = HostState.FAILED
+
+
+def _accept(world, moves):
+    """Apply the solver's moves to the world (the engine's actuation)."""
+    for move in moves:
+        vm = world.vms[move.vm_id]
+        dst = world.hosts[world.index[move.host_id]]
+        if not dst.is_available or dst.quarantined:
+            continue
+        if move.from_queue:
+            place(dst, vm)
+        elif vm.state is VmState.RUNNING:
+            world.host_of(vm).remove_vm(vm.vm_id)
+            dst.add_vm(vm)
+
+
+class TestRowSlotRegistry:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_slot_recycling_under_availability_churn(self, data):
+        """Power, quarantine and failure churn recycles row slots.
+
+        Hosts leave and return across rounds, so recycled slots carry
+        other hosts' cells; every bind must still equal a fresh build
+        and emit the fresh builder's move sequence.
+        """
+        n_hosts = data.draw(st.integers(min_value=3, max_value=24),
+                            label="n_hosts")
+        hosts = [make_host(
+            i,
+            node_class=data.draw(st.sampled_from(CLASSES)),
+            state=data.draw(st.sampled_from([HostState.ON, HostState.OFF])),
+        ) for i in range(n_hosts)]
+        world = World(hosts)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            vm = make_vm(world.next_vm,
+                         cpu=data.draw(st.sampled_from([50.0, 100.0, 400.0])))
+            world.next_vm += 1
+            world.vms[vm.vm_id] = vm
+        cache = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        peak = int(matrix.avail.sum())
+
+        now = 0.0
+        for _ in range(data.draw(st.integers(min_value=3, max_value=8),
+                                 label="n_rounds")):
+            for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+                host = data.draw(st.sampled_from(hosts))
+                op = data.draw(st.sampled_from(
+                    ["power", "quarantine", "fail", "repair", "arrive"]))
+                if op == "power":
+                    if host.state is HostState.OFF:
+                        host.state = HostState.ON
+                    elif host.state is HostState.ON and not host.vms:
+                        host.state = HostState.OFF
+                elif op == "quarantine":
+                    host.quarantined = not host.quarantined
+                elif op == "fail" and host.state is not HostState.FAILED:
+                    _fail(host)
+                elif op == "repair" and host.state is HostState.FAILED:
+                    host.state = HostState.ON
+                elif op == "arrive":
+                    vm = make_vm(world.next_vm)
+                    world.next_vm += 1
+                    world.vms[vm.vm_id] = vm
+            now += 600.0
+            columns = world.queued() + world.running()
+            moves, peak = _bind_and_check(matrix, hosts, cache, columns,
+                                          now, peak)
+            if data.draw(st.booleans()):
+                _accept(world, moves)
+
+    def test_row_capacity_grows_past_initial_then_recycles(self):
+        """More concurrently available hosts than ``ROW_CAP0`` grow rows."""
+        n_hosts = 3 * ROW_CAP0
+        hosts = [make_host(i, state=HostState.ON if i < 3 else HostState.OFF)
+                 for i in range(n_hosts)]
+        world = World(hosts)
+        for h in hosts[:3]:
+            vm = make_vm(world.next_vm)
+            world.next_vm += 1
+            world.vms[vm.vm_id] = vm
+            place(h, vm)
+        cache = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        assert matrix.scores.shape[0] == ROW_CAP0
+        peak = 3
+
+        # No move: hosts 0-2 stay clean, so their cells must survive the
+        # row doubling below (the columns only catch up on new rows).
+        moves, peak = _bind_and_check(matrix, hosts, cache, world.running(),
+                                      100.0, peak)
+        assert moves == []
+        for h in hosts[3:]:
+            h.state = HostState.ON
+        moves, peak = _bind_and_check(matrix, hosts, cache, world.running(),
+                                      200.0, peak)
+        assert peak == n_hosts
+        assert matrix.scores.shape[0] > n_hosts
+        # The doubling copy holds both buffers: the reported footprint
+        # includes the transient.
+        cap = matrix.scores.shape[1]
+        assert matrix.stats()["matrix_nbytes"] >= (
+            (ROW_CAP0 + matrix.scores.shape[0]) * cap * 8)
+        _accept(world, moves)
+        # Most hosts power off again; the survivors keep their slots and
+        # the returning ones reuse freed slots without further growth.
+        grown = matrix.scores.shape[0]
+        for h in hosts[5:]:
+            if not h.vms:
+                h.state = HostState.OFF
+        _bind_and_check(matrix, hosts, cache, world.running(), 300.0, peak)
+        for h in hosts[-ROW_CAP0:]:
+            h.state = HostState.ON
+        _bind_and_check(matrix, hosts, cache, world.running(), 400.0, peak)
+        assert matrix.scores.shape[0] == grown
+
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_migration_off_an_unavailable_host(self, accepted):
+        """A VM leaving a quarantined host: the source row has no slot.
+
+        Every slot is held (host 16 takes the slot host 0 gives up), so a
+        stray write for the slotless source row would land on a live
+        host's cells; the post-move consistency check and the next bind
+        (move applied or rejected) catch it.
+        """
+        hosts = [make_host(i) for i in range(ROW_CAP0)]
+        hosts.append(make_host(ROW_CAP0, state=HostState.OFF))
+        world = World(hosts)
+        vm = make_vm(world.next_vm)
+        world.vms[vm.vm_id] = vm
+        place(hosts[0], vm)
+        cache = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        peak = ROW_CAP0
+        _bind_and_check(matrix, hosts, cache, [vm], 100.0, peak)
+
+        hosts[0].quarantined = True
+        hosts[ROW_CAP0].state = HostState.ON
+        moves, peak = _bind_and_check(matrix, hosts, cache, [vm], 200.0, peak)
+        assert matrix._slot_of[0] == -1
+        assert matrix.scores.shape[0] == ROW_CAP0
+        assert [(m.vm_id, m.from_queue) for m in moves] == [(vm.vm_id, False)]
+        assert moves[0].host_id != 0
+        if accepted:
+            _accept(world, moves)
+            assert vm.host_id == moves[0].host_id
+        _bind_and_check(matrix, hosts, cache, [vm], 300.0, peak)
+
+    def test_lagged_column_catches_up_across_a_recycled_slot(self):
+        """A column absent while a slot changed owner reads no stale cell.
+
+        The row capacity is exactly full, so every slot (the last one
+        included) belongs to a live host; host 15 is the argmin of every
+        column.  Host 3 goes off and host 16 takes its slot while column
+        ``a`` sits out a round; on its return it must catch up on host 16
+        and treat host 3 as +inf.
+        """
+        hosts = [make_host(i) for i in range(ROW_CAP0)]
+        hosts.append(make_host(ROW_CAP0, state=HostState.OFF))
+        place(hosts[15], make_vm(99))
+        a, c = make_vm(100), make_vm(101)
+        cache = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        assert matrix.scores.shape[0] == ROW_CAP0
+        peak = ROW_CAP0
+
+        matrix.bind_round([a, c], 100.0)
+        assert matrix.verify_against_fresh([a, c], 100.0)
+        assert matrix._col_min_row[matrix._round_slots].tolist() == [15, 15]
+        hosts[3].state = HostState.OFF
+        hosts[ROW_CAP0].state = HostState.ON
+        for now, columns in ((200.0, [c]), (300.0, [a, c])):
+            matrix.bind_round(columns, now)
+            assert matrix.verify_against_fresh(columns, now)
+            assert matrix.verify_cells()
+            _check_registry(matrix, peak)
+        assert matrix._slot_of[ROW_CAP0] == 3
+
+    def test_memory_follows_available_hosts_not_cluster_size(self):
+        """A mostly-off cluster stores a handful of rows, not M."""
+        hosts = [make_host(i, state=HostState.ON if i % 50 == 0
+                           else HostState.OFF) for i in range(500)]
+        vms = [make_vm(100 + v) for v in range(4)]
+        cache = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        _bind_and_check(matrix, hosts, cache, vms, 100.0, 10)
+        assert matrix.scores.shape[0] == ROW_CAP0
+        dense_nbytes = 500 * matrix.scores.shape[1] * 8
+        assert matrix.stats()["matrix_nbytes"] < dense_nbytes / 10
+
+
+# --------------------------------------------------------------------------
 # HostArrayCache match memoization (satellite: identity fast-path fix)
 # --------------------------------------------------------------------------
 
@@ -435,8 +672,9 @@ class TestGatingAndRecovery:
         assert matrix.verify_cells()
 
         slot = matrix._round_slots[0]
-        row = int(matrix._active[0])
-        matrix.scores[row, slot] += 1.0  # simulated drift
+        host = int(matrix._active[0])
+        # Simulated drift, written through the host's row slot.
+        matrix.scores[matrix._slot_of[host], slot] += 1.0
         with pytest.raises(StateError):
             matrix.verify_cells()
 

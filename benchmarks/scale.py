@@ -61,7 +61,10 @@ Persistent rows carry the matrix's rescore counters (``rescore_*``
 fields) so a throughput regression can be attributed to cells rescored
 rather than guessed at.  ``--profile``
 wraps each child run in cProfile and saves ``.prof`` artifacts next to
-the report (CI uploads them on regression).
+the report (CI uploads them on regression).  cProfile roughly doubles
+the wall clock, so those rows are tagged ``"profiled": true``: the gate
+refuses them on either side, and ``--profile`` cannot be combined with
+``--check-against``.
 """
 
 from __future__ import annotations
@@ -298,6 +301,7 @@ def _child_main(args: argparse.Namespace) -> int:
         prof.disable()
         prof.dump_stats(args.profile_out)
         row["profile"] = args.profile_out
+        row["profiled"] = True
     else:
         row = run_point(args.hosts, args.jobs, args.seed, kind, **kwargs)
     print(_RESULT_MARKER + json.dumps(row))
@@ -435,6 +439,15 @@ def check_regression(
         new = report["results"].get(key)
         if new is None:
             failures.append(f"{key}: missing from this run")
+            continue
+        profiled = [side for side, row in (("this run", new),
+                                            ("baseline", base))
+                    if row.get("profiled")]
+        if profiled:
+            failures.append(
+                f"{key}: profiled row in {' and '.join(profiled)} "
+                "(cProfile-inflated wall clock cannot gate)"
+            )
             continue
         ratio = new["normalized_events_per_s"] / base["normalized_events_per_s"]
         if ratio < 1.0 / (1.0 + tolerance):
@@ -595,6 +608,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.seed = DEFAULT_SEED
     if args.single:
         return _child_main(args)
+    if args.profile and args.check_against:
+        parser.error("--profile rows cannot gate: drop --check-against")
 
     points = parse_sweep(args.sweep)
     if args.checkpoint_overhead:

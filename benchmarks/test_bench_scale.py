@@ -8,6 +8,7 @@ gate bugs surface in the normal suite rather than as CI verdicts.
 """
 
 import copy
+import json
 
 import pytest
 
@@ -16,6 +17,7 @@ from benchmarks.scale import (
     SCHEMA,
     check_memory_flatness,
     check_regression,
+    main,
     parse_sweep,
     point_key,
     run_point,
@@ -144,6 +146,42 @@ class TestRegressionGate:
         bad = _report([_row()])
         bad["schema"] = "something-else"
         assert check_regression(_report([_row()]), bad, 0.30)
+
+
+class TestProfiledRows:
+    """cProfile-inflated rows are tagged and can never gate."""
+
+    def test_profiled_child_row_is_tagged(self, tmp_path, capsys):
+        prof = tmp_path / "point.prof"
+        assert main(["--single", "--hosts", "20", "--jobs", "120",
+                     "--profile-out", str(prof)]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        row = json.loads(line.split(" ", 1)[1])
+        assert row["profiled"] is True
+        assert prof.exists()
+
+    def test_unprofiled_child_row_is_not_tagged(self, capsys):
+        assert main(["--single", "--hosts", "20", "--jobs", "120"]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert "profiled" not in json.loads(line.split(" ", 1)[1])
+
+    @pytest.mark.parametrize("side", ["new", "base"])
+    def test_profiled_row_on_either_side_is_refused(self, side):
+        new, base = _report([_row()]), _report([_row()])
+        # Even an otherwise passing (faster, identical) pair is refused.
+        new["results"]["h1000-j3400"]["normalized_events_per_s"] = 40.0
+        {"new": new, "base": base}[side]["results"]["h1000-j3400"][
+            "profiled"] = True
+        failures = check_regression(new, base, 0.30)
+        assert len(failures) == 1
+        assert "profiled row" in failures[0]
+
+    def test_profile_with_check_against_is_an_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--sweep", "20x120", "--profile",
+                  "--check-against", "baseline.json"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
 
 class TestMemoryFlatness:

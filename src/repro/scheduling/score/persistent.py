@@ -48,10 +48,11 @@ every row stamped after its own stamp — including the returning host —
 before any cost, argmin or solver read.  Whatever the slot held for its
 previous owner is overwritten first.
 
-**The bit-identity invariant.**  Every cell is produced by the same
-elementwise float expressions as ``ScoreMatrixBuilder._score_rows`` (one
-shared formula, gathered over row/column subsets), so a cell rescored
-incrementally is bit-for-bit the cell a fresh build would compute; the
+**The bit-identity invariant.**  Every cell is produced by one formula,
+:meth:`_cells`, running the same elementwise float expressions as
+``ScoreMatrixBuilder._score_rows``; numpy broadcasting evaluates it for
+one row, one column or a block, so a cell rescored incrementally, in any
+shape, is bit-for-bit the cell a fresh build would compute; the
 ``verify_against_fresh`` oracle and the whole-sim equality tests check
 exactly that.  Two representation changes make the incremental form
 possible without breaking it:
@@ -78,13 +79,20 @@ value ties by lowest row then lowest column exactly like the fresh
 builder — ``tests/test_score_persistent.py`` permutes dirty-row marking
 order and asserts identical move sequences.
 
-A queued->placed :meth:`apply_move` flips the column's pricing from
-creation cost to migration penalty on *every* row; rather than rescoring
-the full column mid-round, the column is marked **stale** and lazily
-rescored in full the next time it participates in a round.  Rows touched
-by hypothetical moves are remembered and folded into the next bind's
-dirty set, so rejected actions (chaos, capacity races) cannot leave
-phantom state behind.
+**A round costs its live columns.**  Almost every round places one
+newly arrived VM: a one-column rescore is 1-D work, and the argmin of a
+fully rescored column is taken from the block just scored.
+:meth:`apply_move` maintains cells, costs and argmins only for the
+round's *unfrozen* columns, so once the moved column was the last one a
+move is pure bookkeeping.  A queued->placed move flips the column's
+pricing from creation cost to migration penalty on *every* row; rather
+than rescoring the full column mid-round, the column is marked
+**stale** and lazily rescored in full the next time it participates in
+a round.  Rows touched by hypothetical moves are remembered and folded
+into the next bind's dirty set (stamped), so rejected actions (chaos,
+capacity races) cannot leave phantom state behind and a frozen
+column's skipped cells are caught up before any read
+(:meth:`apply_move` says why).
 """
 
 from __future__ import annotations
@@ -314,124 +322,68 @@ class PersistentScoreMatrix:
 
     # ------------------------------------------------------------------ math
 
-    def _score_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Score cells for the given host rows x column slots.
+    def _cells(self, R, C) -> np.ndarray:
+        """Score cells of host rows ``R`` x column slots ``C``.
 
-        The same elementwise float expressions as
-        ``ScoreMatrixBuilder._score_rows`` with the host/VM vectors
-        gathered from the persistent arrays, so each cell is bit-identical
-        to the fresh builder's.  The migration predicate is evaluated in
-        bucket space (``cm_rank >= bucket`` <=> ``tr < cm``) — same
-        booleans, same ``2*cm`` / ``cm/2`` values.
+        ``R`` and ``C`` are each an int, a 1-D index array, or the
+        ``rows[:, None]`` / ``cols[None, :]`` halves of a block; numpy
+        broadcasting turns the gathers into scalar, 1-D or 2-D operands,
+        so one row, one column and a block all run the same elementwise
+        IEEE operations as ``ScoreMatrixBuilder._score_rows`` and every
+        cell is bit-identical to the fresh builder's.  The migration
+        predicate is evaluated in bucket space (``cm_rank >= bucket``
+        <=> ``tr < cm``) — same booleans, same ``2*cm`` / ``cm/2`` values.
         """
         cfg = self.config
         st = self.state
-        R = np.asarray(rows, dtype=int)
-        C = np.asarray(cols, dtype=int)
-        if R.size == 1:
-            # Scalar-host fast path: the hill climber's per-move row
-            # rescores land here; broadcasting overhead dwarfs the math
-            # for one row.  Bit-identical (same elementwise float ops).
-            return self._score_row_slots(int(R[0]), C)[None, :]
-        cur = self._cur[C]
-        q = self._q[C]
-        vcpu = st.v_cpu[C]
-        vmem = st.v_mem[C]
+        res_cpu = self.res_cpu[R]
+        res_mem = self.res_mem[R]
+        cap_cpu = self.cap_cpu[R]
+        cap_mem = self.cap_mem[R]
 
-        on = cur[None, :] == R[:, None]
-        add_cpu = np.where(on, 0.0, vcpu[None, :])
-        add_mem = np.where(on, 0.0, vmem[None, :])
+        on = self._cur[C] == R
+        add_cpu = np.where(on, 0.0, st.v_cpu[C])
+        add_mem = np.where(on, 0.0, st.v_mem[C])
         occ_after = np.maximum(
-            (self.res_cpu[R][:, None] + add_cpu) / self.cap_cpu[R][:, None],
-            (self.res_mem[R][:, None] + add_mem) / self.cap_mem[R][:, None],
+            (res_cpu + add_cpu) / cap_cpu, (res_mem + add_mem) / cap_mem
         )
-        occ_now = np.maximum(
-            self.res_cpu[R] / self.cap_cpu[R],
-            self.res_mem[R] / self.cap_mem[R],
-        )[:, None]
+        occ_now = np.maximum(res_cpu / cap_cpu, res_mem / cap_mem)
+        feasible = (
+            st.v_feas[C, st.class_of_host[R]]
+            & self.avail[R]
+            & (occ_after <= 1.0 + 1e-9)
+        )
 
-        req_ok = st.v_feas[C].T[st.class_of_host[R]]
-        feasible = req_ok & self.avail[R][:, None] & (occ_after <= 1.0 + 1e-9)
-
-        s = np.zeros((len(R), len(C)))
+        s = np.zeros(on.shape)
         if cfg.enable_virt:
-            cm_r = self.cm[R][:, None]
+            cm_r = self.cm[R]
             migration = np.where(
-                self._cm_rank[R][:, None] >= self._bucket[C][None, :],
-                2.0 * cm_r,
-                cm_r / 2.0,
+                self._cm_rank[R] >= self._bucket[C], 2.0 * cm_r, cm_r / 2.0
             )
-            creation = np.broadcast_to(self.cc[R][:, None], migration.shape)
-            s += np.where(on, 0.0, np.where(q[None, :], creation, migration))
+            s += np.where(on, 0.0, np.where(self._q[C], self.cc[R], migration))
         if cfg.enable_conc:
-            load = (self.conc + self.pending)[R][:, None]
-            s += np.where(on, 0.0, load)
+            s += np.where(on, 0.0, self.conc[R] + self.pending[R])
         if cfg.enable_pwr:
-            t_empty = (self.nvms[R][:, None] <= cfg.th_empty).astype(float)
-            s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
-        if cfg.enable_sla:
-            fulf = self._fulf[C][None, :]
-            viol = on & (fulf < 1.0)
-            hard = viol & (fulf <= cfg.th_sla)
-            s += np.where(viol, cfg.c_sla, 0.0)
-            s = np.where(hard, INF, s)
-        if cfg.enable_fault:
-            s += ((1.0 - self._rel[R])[:, None] - st.v_ftol[C][None, :]) * cfg.c_fail
-
-        return np.where(feasible, s, INF)
-
-    def _score_row_slots(self, r: int, C: np.ndarray) -> np.ndarray:
-        """One host row's cells for the given slots (scalar host terms).
-
-        Same float expressions as :meth:`_score_block` with the host-side
-        vectors collapsed to scalars — every operation is the identical
-        IEEE op on the identical operands, so the result is bit-identical
-        to the batch path (asserted by the equivalence tests).
-        """
-        cfg = self.config
-        st = self.state
-        cur = self._cur[C]
-        q = self._q[C]
-        vcpu = st.v_cpu[C]
-        vmem = st.v_mem[C]
-
-        on = cur == r
-        add_cpu = np.where(on, 0.0, vcpu)
-        add_mem = np.where(on, 0.0, vmem)
-        occ_after = np.maximum(
-            (self.res_cpu[r] + add_cpu) / self.cap_cpu[r],
-            (self.res_mem[r] + add_mem) / self.cap_mem[r],
-        )
-        occ_now = max(
-            self.res_cpu[r] / self.cap_cpu[r],
-            self.res_mem[r] / self.cap_mem[r],
-        )
-
-        req_ok = st.v_feas[C, st.class_of_host[r]]
-        feasible = req_ok & self.avail[r] & (occ_after <= 1.0 + 1e-9)
-
-        s = np.zeros(len(C))
-        if cfg.enable_virt:
-            cm_r = self.cm[r]
-            migration = np.where(
-                self._cm_rank[r] >= self._bucket[C], 2.0 * cm_r, cm_r / 2.0
-            )
-            s += np.where(on, 0.0, np.where(q, self.cc[r], migration))
-        if cfg.enable_conc:
-            s += np.where(on, 0.0, self.conc[r] + self.pending[r])
-        if cfg.enable_pwr:
-            t_empty = 1.0 if self.nvms[r] <= cfg.th_empty else 0.0
+            t_empty = (self.nvms[R] <= cfg.th_empty).astype(float)
             s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
         if cfg.enable_sla:
             fulf = self._fulf[C]
             viol = on & (fulf < 1.0)
-            hard = viol & (fulf <= cfg.th_sla)
             s += np.where(viol, cfg.c_sla, 0.0)
-            s = np.where(hard, INF, s)
+            s = np.where(viol & (fulf <= cfg.th_sla), INF, s)
         if cfg.enable_fault:
-            s += ((1.0 - self._rel[r]) - st.v_ftol[C]) * cfg.c_fail
+            s += ((1.0 - self._rel[R]) - st.v_ftol[C]) * cfg.c_fail
 
         return np.where(feasible, s, INF)
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """:meth:`_cells` as a ``(rows, cols)`` block; one row or one
+        column costs 1-D work."""
+        if rows.size == 1:
+            return self._cells(int(rows[0]), cols)[None, :]
+        if cols.size == 1:
+            return self._cells(rows, int(cols[0]))[:, None]
+        return self._cells(rows[:, None], cols[None, :])
 
     # ---------------------------------------------------------------- costs
 
@@ -485,28 +437,26 @@ class PersistentScoreMatrix:
 
     # --------------------------------------------------------------- minima
 
-    def _refresh_minima(self, slots: np.ndarray) -> None:
-        """From-scratch (value, argmin-row) of the diff for these slots."""
-        if not len(slots):
+    def _refresh_minima(
+        self, slots: np.ndarray, block: Optional[np.ndarray] = None
+    ) -> None:
+        """From-scratch (value, argmin-row) of the diff for unfrozen slots.
+
+        ``block`` holds the slots' cells on the active rows when the
+        caller has just scored them; otherwise they are gathered from
+        the stored cells.  Rows ascend, so the lowest host wins ties.
+        """
+        act = self._active
+        if act.size == 0:
+            self._col_min_val[slots] = INF
+            self._col_min_row[slots] = 0
             return
-        live = slots[~self._frozen[slots]]
-        dead = slots[self._frozen[slots]]
-        if dead.size:
-            self._col_min_val[dead] = INF
-            self._col_min_row[dead] = 0
-        if live.size:
-            act = self._active
-            if act.size == 0:
-                self._col_min_val[live] = INF
-                self._col_min_row[live] = 0
-                return
-            sub = (
-                self.scores[np.ix_(self._slot_of[act], live)]
-                - self._cost[live][None, :]
-            )
-            k = np.argmin(sub, axis=0)
-            self._col_min_row[live] = act[k]
-            self._col_min_val[live] = sub[k, np.arange(len(live))]
+        if block is None:
+            block = self.scores[np.ix_(self._slot_of[act], slots)]
+        sub = block - self._cost[slots]
+        k = np.argmin(sub, axis=0)
+        self._col_min_row[slots] = act[k]
+        self._col_min_val[slots] = sub[k, np.arange(slots.size)]
 
     # ----------------------------------------------------------------- bind
 
@@ -592,7 +542,9 @@ class PersistentScoreMatrix:
         )
         if cfg.enable_sla:
             changed |= self._fulf[slots] != fulf
-        was_frozen = slots[self._frozen[slots]]
+        # Frozen last round and now lagging: its argmin is +inf until
+        # rescanned (a changed column is rescanned anyway).
+        was_frozen = slots[self._frozen[slots] & ~changed]
         self._cur[slots] = cur
         self._q[slots] = q
         self._bucket[slots] = bucket
@@ -606,11 +558,12 @@ class PersistentScoreMatrix:
         cols_changed = np.sort(slots[changed])
 
         # ---- full rescore: stale/changed columns x active rows ----------
+        # The block is kept: their minima are taken from it below.
+        full = None
         if cols_changed.size and act.size:
-            self.scores[np.ix_(self._slot_of[act], cols_changed)] = (
-                self._score_block(act, cols_changed)
-            )
-            self._cells_rescored += act.size * cols_changed.size
+            full = self._block(act, cols_changed)
+            self.scores[self._slot_of[act][:, None], cols_changed] = full
+            self._cells_rescored += full.size
 
         # ---- lazy catch-up: participating columns behind on row churn ---
         # A column's cells are current up to its ``_col_stamp``; only rows
@@ -628,10 +581,10 @@ class PersistentScoreMatrix:
                 grp = lagged[stamps == s]
                 rows = np.nonzero(self._row_stamp > s)[0]
                 if rows.size:
-                    block = self._score_block(rows, grp)
+                    block = self._block(rows, grp)
                     groups.append((s, grp, rows, block))
                     on = self.avail[rows]
-                    self.scores[np.ix_(self._slot_of[rows[on]], grp)] = (
+                    self.scores[self._slot_of[rows[on]][:, None], grp] = (
                         block[on]
                     )
                     self._cells_rescored += rows.size * grp.size
@@ -656,9 +609,11 @@ class PersistentScoreMatrix:
             self._cost[affected] = new
 
         # ---- argmin maintenance: generalized multi-row take/rescan ------
-        rescan_parts = [cols_changed, was_frozen]
+        if cols_changed.size:
+            self._refresh_minima(cols_changed, full)
+        rescan_parts = [was_frozen]
         for s, grp, rows, block in groups:
-            sub = block - self._cost[grp][None, :]
+            sub = block - self._cost[grp]
             k = np.argmin(sub, axis=0)  # rows ascending: lowest host wins
             w = sub[k, np.arange(grp.size)]
             rw = rows[k]
@@ -673,7 +628,10 @@ class PersistentScoreMatrix:
                 tk = grp[take]
                 self._col_min_val[tk] = w[take]
                 self._col_min_row[tk] = rw[take]
-        self._refresh_minima(np.unique(np.concatenate(rescan_parts)))
+        rescan = np.concatenate(rescan_parts)
+        if rescan.size:
+            # A slot listed twice is rescanned to the same minimum.
+            self._refresh_minima(rescan)
         self._col_stamp[slots] = t
 
         # ---- round binding ----------------------------------------------
@@ -718,11 +676,23 @@ class PersistentScoreMatrix:
         """Hypothetically move round column ``col`` to host ``row``.
 
         Mirrors the fresh builder move-for-move (occupancy bookkeeping,
-        pending concurrency, freeze, <=2 row rescores restricted to the
-        round's columns, take/rescan cache maintenance) and additionally
+        pending concurrency, freeze, take/rescan cache maintenance), but
+        rescores the <=2 touched rows and updates costs and argmins only
+        for the round's *unfrozen* columns: once every column is frozen
+        (every one-column round) the move is pure bookkeeping.  It also
         remembers the touched rows for the next bind and marks a
         queued->placed column stale (its pricing flipped on every row;
         the full rescore is deferred to its next participation).
+
+        Skipping frozen columns is safe because nothing reads them again
+        this round, and every later read is preceded by a catch-up: the
+        touched rows are stamped at the next bind, so a lagging column
+        is rescored on them first; a frozen column's argmin stays +inf
+        and is rescanned at its next bind (``was_frozen``); and its cost
+        is recomputed at its next participation — after a placement it
+        is stale, a rejected action changes its current host, and an
+        accepted migration homes it on a touched row, stamped later
+        than the column.
         """
         slot = int(self._round_slots[col])
         if self._frozen[slot]:
@@ -750,68 +720,68 @@ class PersistentScoreMatrix:
         self._q[slot] = False
         self.is_queued[col] = False
         self._frozen[slot] = True
+        self._col_min_val[slot] = INF
+        self._col_min_row[slot] = 0
         if placement:
             self._stale[slot] = True
 
         touched = [row] if old < 0 else sorted({old, row})
         self._touched.update(touched)
         rs = self._round_slots
+        self._cells_total += len(touched) * rs.size
+        lv = rs[~self._frozen[rs]]
+        if not lv.size:
+            return
         # Each touched row's cells, kept for the take/rescan below and
         # stored only for rows holding a slot (``old`` may be offline,
         # e.g. a VM migrating off a quarantined host).
-        row_vals = []
-        for t in touched:
-            vals = self._score_row_slots(t, rs)
-            row_vals.append(vals)
+        row_vals = [self._cells(t, lv) for t in touched]
+        for t, vals in zip(touched, row_vals):
             if self.avail[t]:
-                self.scores[self._slot_of[t], rs] = vals
-        self._cells_rescored += len(touched) * rs.size
-        self._cells_total += len(touched) * rs.size
+                self.scores[self._slot_of[t], lv] = vals
+        self._cells_rescored += len(touched) * lv.size
 
-        # ---- cache maintenance (fresh builder's rules, round slots) -----
-        self._col_min_val[slot] = INF
-        self._col_min_row[slot] = 0
-
-        cur_r = self._cur[rs]
-        homed = cur_r == touched[0]
+        # ---- cache maintenance (fresh builder's rules, unfrozen slots) --
+        cur_l = self._cur[lv]
+        homed = cur_l == touched[0]
         if len(touched) == 2:
-            homed |= cur_r == touched[1]
-        homed_slots = rs[np.nonzero(homed)[0]]
+            homed |= cur_l == touched[1]
+        homed_slots = lv[homed]
         if homed_slots.size:
             old_costs = self._cost[homed_slots].copy()
             new_costs = self._compute_costs(homed_slots)
             self._col_min_val[homed_slots] += old_costs - new_costs
             self._cost[homed_slots] = new_costs
 
-        lv = ~self._frozen[rs]
-        v = self._col_min_val[rs]
-        r = self._col_min_row[rs]
+        cost = self._cost[lv]
+        v = self._col_min_val[lv]
+        r = self._col_min_row[lv]
         if len(touched) == 1:
             t0 = touched[0]
-            w = row_vals[0] - self._cost[rs]
-            take = lv & ((w < v) | ((w == v) & (r >= t0)))
-            rescan = lv & (r == t0) & (w > v)
+            w = row_vals[0] - cost
+            take = (w < v) | ((w == v) & (r >= t0))
+            rescan = (r == t0) & (w > v)
             if take.any():
-                t = rs[take]
+                t = lv[take]
                 self._col_min_val[t] = w[take]
                 self._col_min_row[t] = t0
         else:
-            d0 = row_vals[0] - self._cost[rs]
-            d1 = row_vals[1] - self._cost[rs]
+            d0 = row_vals[0] - cost
+            d1 = row_vals[1] - cost
             first = d0 <= d1
             w = np.where(first, d0, d1)
             rw = np.where(first, touched[0], touched[1])
             in_t = (r == touched[0]) | (r == touched[1])
             take = (
                 (w < v) | ((w == v) & (rw < r)) | (in_t & (w == v) & (rw <= r))
-            ) & lv
-            rescan = lv & in_t & ~take
+            )
+            rescan = in_t & ~take
             if take.any():
-                t = rs[take]
+                t = lv[take]
                 self._col_min_val[t] = w[take]
                 self._col_min_row[t] = rw[take]
         if rescan.any():
-            self._refresh_minima(rs[rescan])
+            self._refresh_minima(lv[rescan])
 
     def host_row_score(self, row: int) -> float:
         """Aggregated row score for shutdown ranking (fresh semantics)."""
@@ -904,7 +874,7 @@ class PersistentScoreMatrix:
         rows = np.setdiff1d(act, touched) if touched.size else act
         if not check.size or not rows.size:
             return True
-        expect = self._score_block(rows, check)
+        expect = self._block(rows, check)
         slot_rows = self._slot_of[rows]
         got = self.scores[np.ix_(slot_rows, check)]
         if not np.array_equal(expect, got):

@@ -143,23 +143,42 @@ def _mutate(world, data):
             vm.cpu_req = vm.cpu_req * 1.25
 
 
-class TestScalarRowPath:
-    @settings(max_examples=40, deadline=None)
+def _bits(a):
+    """Raw IEEE bits: equality here is bitwise (signed zeros, infs)."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestCellShapes:
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_single_row_block_bit_identical_to_batch(self, data):
-        """_score_block's scalar-host fast path must equal the batch path."""
-        n_hosts = data.draw(st.integers(min_value=2, max_value=5))
+    def test_block_row_and_column_shapes_are_bitwise_equal(self, data):
+        """``_cells`` gives the same bits as a block, a row and a column.
+
+        Checked on a bound state (and against the fresh builder's cells)
+        and again after hypothetical moves, whose pending concurrency
+        and occupancy changes exercise the host-side terms; unavailable
+        rows and infeasible cells must be +inf in every shape.
+        """
+        n_hosts = data.draw(st.integers(min_value=2, max_value=6))
         hosts = [make_host(
             i,
             node_class=data.draw(st.sampled_from(CLASSES)),
+            state=data.draw(st.sampled_from(
+                [HostState.ON, HostState.ON, HostState.OFF])),
             reliability=data.draw(st.floats(min_value=0.5, max_value=1.0)),
         ) for i in range(n_hosts)]
+        hosts[0].state = HostState.ON
         vms = [make_vm(
             100 + v,
             cpu=data.draw(st.sampled_from([50.0, 100.0, 400.0])),
+            mem=data.draw(st.sampled_from([128.0, 512.0, 4096.0])),
+            runtime=data.draw(st.floats(min_value=120.0, max_value=7200.0)),
             fault_tolerance=data.draw(st.floats(min_value=0.0, max_value=1.0)),
-        ) for v in range(4)]
-        place(hosts[0], vms[0])
+        ) for v in range(data.draw(st.integers(min_value=1, max_value=6)))]
+        on = [h for h in hosts if h.state is HostState.ON]
+        for vm in vms:
+            if data.draw(st.booleans()):
+                place(data.draw(st.sampled_from(on)), vm)
         config = getattr(ScoreConfig, data.draw(
             st.sampled_from(["sb0", "sb2", "sb", "full"])))()
         cache = ColumnarClusterState(hosts)
@@ -167,11 +186,36 @@ class TestScalarRowPath:
         fulf = ({vm.vm_id: data.draw(st.floats(min_value=0.0, max_value=1.2))
                  for vm in vms} if config.enable_sla else None)
         matrix.bind_round(vms, 500.0, fulf)
+        fresh = ScoreMatrixBuilder(hosts=hosts, columns=vms, now=500.0,
+                                   config=config, fulfillments=fulf,
+                                   host_cache=cache)
+        rows = np.arange(n_hosts)
         slots = matrix._round_slots
-        batch = matrix._score_block(np.arange(n_hosts), slots)
-        for r in range(n_hosts):
-            single = matrix._score_block(np.array([r]), slots)[0]
-            assert np.array_equal(single, batch[r]), (r, single, batch[r])
+
+        def check(cols):
+            block = matrix._cells(rows[:, None], slots[None, :])
+            assert block.shape == (n_hosts, slots.size)
+            for r in rows:
+                assert np.array_equal(
+                    _bits(matrix._cells(int(r), slots)), _bits(block[r]))
+            for j, c in enumerate(slots):
+                assert np.array_equal(
+                    _bits(matrix._cells(rows, int(c))), _bits(block[:, j]))
+            assert np.isinf(block[~matrix.avail]).all()
+            # Unfrozen columns are current on every row in both builders.
+            assert np.array_equal(_bits(block[:, cols]),
+                                  _bits(fresh.scores[:, cols]))
+
+        check(np.arange(slots.size))
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            move = matrix.best_move()
+            # The hill climber's stopping rule: improving moves only.
+            if move is None or not move[2] < -config.epsilon:
+                break
+            row, col, _ = move
+            matrix.apply_move(col, row)
+            fresh.apply_move(col, row)
+            check(np.nonzero(~matrix._frozen[slots])[0])
 
 
 class TestEpisodicOracle:
@@ -599,6 +643,171 @@ class TestRowSlotRegistry:
         assert matrix.scores.shape[0] == ROW_CAP0
         dense_nbytes = 500 * matrix.scores.shape[1] * 8
         assert matrix.stats()["matrix_nbytes"] < dense_nbytes / 10
+
+
+# --------------------------------------------------------------------------
+# Frozen columns: apply_move maintains only the round's unfrozen columns
+# --------------------------------------------------------------------------
+
+
+def _watch_frozen_moves(matrix):
+    """Wrap ``apply_move``: a move that leaves no unfrozen round column
+    must rescore nothing (it is pure bookkeeping)."""
+    inner = matrix.apply_move
+    frozen_only = []
+
+    def apply_move(col, row):
+        before = matrix.stats()["cells_rescored"]
+        inner(col, row)
+        if matrix._frozen[matrix._round_slots].all():
+            assert matrix.stats()["cells_rescored"] == before
+            frozen_only.append((col, row))
+
+    matrix.apply_move = apply_move
+    return frozen_only
+
+
+def _arrive(world, cpu=100.0):
+    vm = make_vm(world.next_vm, cpu=cpu)
+    world.next_vm += 1
+    world.vms[vm.vm_id] = vm
+    return vm
+
+
+class TestFrozenColumns:
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_one_column_round_move_is_pure_bookkeeping(self, accepted):
+        hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(5)]
+        hosts[4].state = HostState.OFF
+        world = World(hosts)
+        place(hosts[1], _arrive(world))
+        cache = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        frozen_only = _watch_frozen_moves(matrix)
+        peak = 4
+        now = 100.0
+        for _ in range(4):
+            vm = _arrive(world)
+            moves, peak = _bind_and_check(matrix, hosts, cache, [vm], now,
+                                          peak)
+            assert matrix.n_cols == 1 and len(moves) == 1
+            if accepted:
+                _accept(world, moves)
+            now += 100.0
+        assert len(frozen_only) == 4
+        # The next bind catches up on every skipped cell and cost.
+        columns = world.queued() + world.running()
+        _bind_and_check(matrix, hosts, cache, columns, now, peak)
+
+    @pytest.mark.parametrize("accept_migration", [True, False])
+    def test_mixed_round_with_rejected_or_accepted_migration(
+        self, accept_migration
+    ):
+        """A consolidation round leaves frozen and live columns behind.
+
+        Host 0 is over-packed, so the round migrates ``b`` off it and
+        places ``c`` while ``a`` and ``d`` stay live; the frozen columns'
+        cells, costs and argmins are left behind and must be caught up
+        at the next bind whether the migration happened or not.
+        """
+        hosts = [make_host(i) for i in range(4)]
+        world = World(hosts)
+        a, b, d, c = (_arrive(world, cpu) for cpu in (400.0, 100.0,
+                                                      100.0, 100.0))
+        place(hosts[0], a)
+        place(hosts[0], b)
+        place(hosts[1], d)
+        cache = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        frozen_only = _watch_frozen_moves(matrix)
+        moves, peak = _bind_and_check(
+            matrix, hosts, cache, world.queued() + world.running(), 100.0, 4)
+        assert [(m.vm_id, m.from_queue) for m in moves] == [
+            (b.vm_id, False), (c.vm_id, True)]
+        slots = matrix._round_slots
+        assert matrix._frozen[slots].tolist() == [True, False, True, False]
+        assert frozen_only == []
+
+        place(hosts[world.index[moves[1].host_id]], c)
+        if accept_migration:
+            _accept(world, moves[:1])
+        assert (b.host_id == moves[0].host_id) == accept_migration
+        # Every column returns (the migrated one lags on touched rows),
+        # then a one-column round follows.
+        moves, peak = _bind_and_check(
+            matrix, hosts, cache, world.queued() + world.running(), 200.0,
+            peak)
+        _bind_and_check(matrix, hosts, cache, [_arrive(world)], 300.0, peak)
+
+    def test_migrated_column_rescans_rows_it_did_not_touch(self):
+        """A column frozen by an accepted migration lags on touched rows
+        only, yet its argmin must be the scan over every active row.
+
+        ``b`` stays a hard SLA violator: its home cell is +inf in both
+        rounds, so it moves 0 -> 1, and next round its best host is 2,
+        a row the first move never touched.
+        """
+        hosts = [make_host(i) for i in range(5)]
+        world = World(hosts)
+        b, x, y = (_arrive(world, cpu) for cpu in (100.0, 200.0, 100.0))
+        place(hosts[0], b)
+        place(hosts[1], x)
+        place(hosts[2], y)
+        cache = ColumnarClusterState(hosts)
+        config = ScoreConfig.sb(enable_sla=True)
+        matrix = PersistentScoreMatrix(cache, config)
+        _watch_frozen_moves(matrix)
+        fulf = {b.vm_id: 0.3}
+        for now, host in ((100.0, 1), (110.0, 2)):
+            matrix.bind_round([b], now, fulf)
+            assert matrix.verify_against_fresh([b], now, fulf)
+            assert matrix.verify_cells()
+            fresh = ScoreMatrixBuilder(hosts=hosts, columns=[b], now=now,
+                                       config=config, fulfillments=fulf,
+                                       host_cache=cache)
+            moves = hill_climb(matrix)
+            assert moves == hill_climb(fresh)
+            assert [m.host_id for m in moves] == [host]
+            _accept(world, moves)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_column_and_consolidation_rounds_interleaved(self, data):
+        """Arrival rounds (one column) between consolidation rounds.
+
+        Moves are accepted or rejected at random; every bind must equal
+        a fresh build and every hill climb the fresh builder's moves.
+        """
+        n_hosts = data.draw(st.integers(min_value=2, max_value=6))
+        hosts = [make_host(
+            i,
+            node_class=data.draw(st.sampled_from(CLASSES)),
+            state=data.draw(st.sampled_from(
+                [HostState.ON, HostState.ON, HostState.OFF])),
+        ) for i in range(n_hosts)]
+        hosts[0].state = HostState.ON
+        world = World(hosts)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+            vm = _arrive(world, data.draw(st.sampled_from([100.0, 400.0])))
+            place(data.draw(st.sampled_from(
+                [h for h in hosts if h.is_available])), vm)
+        cache = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        _watch_frozen_moves(matrix)
+        peak = int(matrix.avail.sum())
+        now = 0.0
+        for _ in range(data.draw(st.integers(min_value=2, max_value=8))):
+            now += 300.0
+            if data.draw(st.booleans(), label="consolidate"):
+                columns = world.queued() + world.running()
+            else:
+                columns = [_arrive(world, data.draw(
+                    st.sampled_from([50.0, 100.0, 400.0])))]
+            if not columns:
+                continue
+            moves, peak = _bind_and_check(matrix, hosts, cache, columns,
+                                          now, peak)
+            _accept(world, [m for m in moves if data.draw(st.booleans())])
 
 
 # --------------------------------------------------------------------------

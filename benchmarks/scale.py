@@ -43,13 +43,9 @@ Sweep points take a kernel tag: ``1000x3400:legacy`` runs the seed
 kernel (``use_columnar=False`` — host and VM state re-listed from Python
 objects every scheduling round), ``1000x3400:fresh`` runs the
 columnar kernel with the per-round matrix rebuild
-(``use_persistent_matrix=False``), and ``1000x3400:scalar-refresh``
-runs the full scheduler kernel with the engine's per-host scalar
-refresh loop (``batched_refresh=False``) — the A/B twin of the
-untagged point, which must match it bit-identically on every
-determinism field while the untagged point adds the memoized
-cross-host share solve (``share_memo_*`` row fields).  Untagged points
-run the full persistent cross-round matrix with batched refresh.
+(``use_persistent_matrix=False``).  Untagged points run the full
+persistent cross-round matrix.  Batch rows (every kind but ``service``)
+report the engine's share memo counters (``share_memo_*`` fields).
 ``1000x3400:service`` runs the same workload through the live
 control-plane service (:mod:`repro.service`) — every job admitted
 individually through the journaled admit/settle path — and reports
@@ -117,11 +113,8 @@ def _scaled_cluster(n_hosts: int):
     )
 
 
-#: Kernel tags a sweep point may carry (``""`` = persistent matrix +
-#: batched engine refresh; ``scalar-refresh`` = same scheduler kernel
-#: with the per-host scalar refresh loop, the batched path's
-#: differential oracle A/B).
-KINDS = ("", "legacy", "fresh", "scalar-refresh", "service")
+#: Kernel tags a sweep point may carry (``""`` = persistent matrix).
+KINDS = ("", "legacy", "fresh", "service")
 
 
 def run_point(
@@ -162,7 +155,6 @@ def run_point(
         pm_config=lambda_config(),
         config=EngineConfig(
             seed=seed,
-            batched_refresh=kind != "scalar-refresh",
             checkpoint_dir=checkpoint_dir,
             checkpoint_sim_interval_s=(
                 checkpoint_interval_s if checkpoint_dir else None

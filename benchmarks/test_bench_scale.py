@@ -9,6 +9,7 @@ gate bugs surface in the normal suite rather than as CI verdicts.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +183,16 @@ class TestProfiledRows:
                   "--check-against", "baseline.json"])
         assert exc.value.code == 2
         assert "--profile" in capsys.readouterr().err
+
+    def test_no_committed_baseline_has_a_profiled_row(self):
+        """A profiled report committed as a baseline could never gate."""
+        paths = sorted(
+            (Path(__file__).parent / "baselines").glob("BENCH_scale_*.json")
+        )
+        assert paths
+        for path in paths:
+            for key, row in json.loads(path.read_text())["results"].items():
+                assert not row.get("profiled"), f"{path.name}: {key}"
 
 
 class TestMemoryFlatness:

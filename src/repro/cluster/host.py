@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.cluster.spec import HostSpec
 from repro.cluster.vm import Vm, VmState
-from repro.cluster.xen import CreditScheduler
+from repro.cluster.xen import CreditScheduler, ShareMemo
 from repro.errors import CapacityError, StateError
 from repro.workload.job import Job
 
@@ -461,7 +461,7 @@ class Host:
 
     # ------------------------------------------------------------ CPU shares
 
-    def recompute_shares(self) -> None:
+    def recompute_shares(self, memo: ShareMemo) -> None:
         """Re-solve the credit scheduler and update every VM's share.
 
         Each RUNNING or MIGRATING-out VM *caps* at its job's declared
@@ -471,6 +471,14 @@ class Host:
         larger slice without pretending it can run faster than dedicated.
         CREATING VMs get no CPU (the creation *operation* does); each
         operation leg demands its configured overhead.
+
+        Domains are positional — running/migrating VMs in residency
+        order, then operation legs — and ``(capacity, caps, weights)`` is
+        the exact key of the solution in ``memo``, so a host whose share
+        problem was solved before (on any host) skips the solver.
+        ``cpu_used`` accumulates the shares in that same order, so the
+        float total (and the power draw derived from it) is bit-identical
+        however the shares were obtained.
         """
         if not self.is_on:
             for vm in self.vms.values():
@@ -478,21 +486,6 @@ class Host:
             self.cpu_used = 0.0
             return
 
-        guests, caps, weights = self.collect_share_domains()
-        shares = (
-            self._scheduler.allocate_arrays(caps, weights) if caps else ()
-        )
-        self.apply_shares(guests, shares)
-
-    def collect_share_domains(self) -> Tuple[List[Vm], List[float], List[float]]:
-        """The host's share problem as positional ``(guests, caps, weights)``.
-
-        Positional domains — running/migrating VMs in residency order,
-        then operation legs — so the solver needs no per-call key
-        formatting or dict churn on this per-dirty-host-event path.  The
-        batched engine refresh uses ``(capacity, caps, weights)`` as the
-        share-memo fingerprint; the tuple orders above make it exact.
-        """
         guests: List[Vm] = [
             vm
             for vm in self.vms.values()
@@ -503,25 +496,18 @@ class Host:
         for op in self.operations:
             caps.append(op.cpu_overhead)
             weights.append(op.cpu_overhead)
-        return guests, caps, weights
-
-    def apply_shares(self, guests: List[Vm], shares) -> None:
-        """Scatter a solved share vector back onto this host's VMs.
-
-        ``shares`` is any indexable of floats (solver array or memo
-        tuple) laid out like :meth:`collect_share_domains` — guest shares
-        first, then operation legs.  ``cpu_used`` accumulates in the same
-        sequential order as the historical inline loop, so the float total
-        (and the power draw derived from it) is bit-identical however the
-        shares were obtained.
-        """
-        total = 0.0
-        for i, vm in enumerate(guests):
-            s = float(shares[i])
+        key = (self._scheduler.capacity, tuple(caps), tuple(weights))
+        shares = memo.get(key)
+        if shares is None:
+            shares = tuple(self._scheduler.allocate_arrays(caps, weights).tolist())
+            memo.put(key, shares)
+        for vm, s in zip(guests, shares):
             vm.share = s
+        # A plain loop, not sum(): from Python 3.12 sum() compensates
+        # float rounding, which would change the total's last bits.
+        total = 0.0
+        for s in shares:
             total += s
-        for i in range(len(guests), len(shares)):
-            total += float(shares[i])
         # CREATING VMs make no progress.
         for vm in self.vms.values():
             if vm.state is VmState.CREATING:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional
 
 from repro.des.event import Event, EventHandle
 from repro.errors import SimulationError
@@ -176,60 +176,6 @@ class Simulator:
         heapq.heappush(self._heap, event)
         self._live += 1
         return EventHandle(event)
-
-    def at_many(
-        self,
-        times: Sequence[float],
-        callbacks: Sequence[Callable[[], None]],
-        *,
-        labels: Optional[Sequence[str]] = None,
-        priority: int = 0,
-    ) -> List[EventHandle]:
-        """Schedule a batch of events in one heap operation.
-
-        Events receive consecutive sequence numbers in argument order —
-        exactly the total order that per-item :meth:`at` calls would
-        produce, so the fired event sequence (and therefore every
-        downstream result) is identical either way.  For batches that are
-        large relative to the live heap, the per-item ``heappush`` calls
-        (``O(k log H)``) are replaced by one extend-and-heapify pass over
-        the heap (``O(H + k)``); heapify of the same event set preserves
-        pop order because ``(time, priority, seq)`` is a unique total
-        order.  The engine's batched completion reschedule is the hot
-        caller.
-        """
-        if len(times) != len(callbacks):
-            raise SimulationError("times and callbacks must match in length")
-        if labels is not None and len(labels) != len(times):
-            raise SimulationError("labels must match times in length")
-        events: List[Event] = []
-        for i, time in enumerate(times):
-            time = float(time)
-            if not math.isfinite(time):
-                raise SimulationError(f"event time must be finite (got {time})")
-            if time < self._now:
-                raise SimulationError(
-                    f"cannot schedule at t={time} before current time t={self._now}"
-                )
-            events.append(
-                Event(
-                    time=time,
-                    priority=int(priority),
-                    seq=next(self._seq),
-                    callback=callbacks[i],
-                    label=labels[i] if labels is not None else "",
-                    owner=self,
-                )
-            )
-        heap = self._heap
-        if len(events) >= 8 and len(events) * 4 >= len(heap):
-            heap.extend(events)
-            heapq.heapify(heap)
-        else:
-            for event in events:
-                heapq.heappush(heap, event)
-        self._live += len(events)
-        return [EventHandle(e) for e in events]
 
     # ------------------------------------------------------------------- run
 

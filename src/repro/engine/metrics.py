@@ -179,34 +179,6 @@ class MetricsCollector:
         self._total_watts += watts - prev
         self.datacenter_power.set_power(now, self._total_watts)
 
-    def refresh_hosts(self, now: float, hosts: Sequence[Host]) -> None:
-        """Fold a whole dirty sweep's power + node-state deltas at once.
-
-        Equivalent to calling :meth:`refresh_power` then
-        :meth:`host_changed` per host in iteration order — the engine's
-        batched refresh hands the *sorted* dirty hosts here, so the
-        ``_total_watts`` float accumulation (order-dependent) and the
-        per-change ``datacenter_power`` step updates happen in exactly the
-        scalar sweep's sequence, keeping energy integrals — and the
-        recorded power series under ``record_power_series`` — bit- and
-        point-identical.  (The two per-host updates touch disjoint state,
-        so interleaving them per host vs. phase-by-phase is immaterial;
-        the in-order single loop is simply the cheapest.)
-        """
-        last_watts = self._last_watts
-        host_energy = self.host_energy
-        dc_power = self.datacenter_power
-        for host in hosts:
-            hid = host.host_id
-            watts = host.power_watts()
-            prev = last_watts[hid]
-            if watts != prev:
-                host_energy[hid].set_power(now, watts)
-                last_watts[hid] = watts
-                self._total_watts += watts - prev
-                dc_power.set_power(now, self._total_watts)
-            self.host_changed(host)
-
     def close(self, now: float) -> None:
         """Close every integral at the simulation horizon."""
         self.working_nodes.finish(now)

@@ -88,11 +88,13 @@ __all__ = [
 #: Bump on any incompatible change to what the pickle payload contains or
 #: how the engine restores it.  Old snapshots then refuse to load with a
 #: clear :class:`StateError` instead of resuming wrong state.
-#: 2: batched engine refresh — the engine pickle gained the share memo
-#:    (``_share_memo``) and the cached ``_batched_refresh`` flag.
+#: 2: the engine pickle gained the share memo (``_share_memo``) and a
+#:    cached refresh-mode flag.
 #: 3: the pickled score matrix layout changed — cells for available
 #:    hosts only, behind a row-slot registry (``_slot_of``/``_free_rows``).
-SNAPSHOT_VERSION = 3
+#: 4: one engine refresh path — the engine pickle lost the refresh-mode
+#:    flag; the share memo is always present.
+SNAPSHOT_VERSION = 4
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"
@@ -110,10 +112,6 @@ _OPERATIONAL_FIELDS = {
     "checkpoint_wall_interval_s": None,
     "checkpoint_keep": 3,
     "max_wall_clock_s": None,
-    # The batched and scalar refresh paths are bit-identical (the
-    # differential tests prove it), so which one runs is operational:
-    # a snapshot written under either mode resumes under either.
-    "batched_refresh": True,
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.host import Host, HostState, Operation, OperationKind
 from repro.cluster.spec import FAST, MEDIUM, SLOW, ClusterSpec, HostSpec
 from repro.cluster.vm import Vm, VmState
+from repro.cluster.xen import ShareMemo
 from repro.errors import CapacityError, ConfigurationError, StateError
 from repro.workload.job import Job
 
@@ -182,7 +183,7 @@ class TestShares:
         vm = make_vm(1, cpu=150.0)
         vm.state = VmState.RUNNING
         host.add_vm(vm)
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert vm.share == pytest.approx(150.0)
         assert host.cpu_used == pytest.approx(150.0)
 
@@ -191,7 +192,7 @@ class TestShares:
         vm = make_vm(1, cpu=150.0)
         vm.state = VmState.CREATING
         host.add_vm(vm)
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert vm.share == 0.0
 
     def test_operation_overhead_squeezes_guests(self):
@@ -203,11 +204,33 @@ class TestShares:
             host.add_vm(vm)
             vms.append(vm)
         host.begin_operation(Operation(OperationKind.CREATE, 99, 100.0, 0.0, 40.0))
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         # 500% demanded on 400%: proportional squeeze to 80 each.
         for vm in vms:
             assert vm.share == pytest.approx(80.0)
         assert host.cpu_used == pytest.approx(400.0)
+
+    def test_memo_keys_on_weights(self):
+        """Same caps, different weights (SLA inflation): no shared entry."""
+        def contended(host_id, inflate):
+            host = make_host(host_id=host_id)
+            for i in (1, 2):
+                vm = make_vm(i, cpu=300.0)
+                vm.state = VmState.RUNNING
+                host.add_vm(vm)
+            if inflate:
+                host.vms[1].inflate()
+            return host
+
+        memo = ShareMemo()
+        plain, inflated = contended(0, False), contended(1, True)
+        plain.recompute_shares(memo)
+        inflated.recompute_shares(memo)
+        fresh = contended(2, True)
+        fresh.recompute_shares(ShareMemo())
+        assert inflated.vms[1].share == fresh.vms[1].share
+        assert inflated.vms[1].share > plain.vms[1].share
+        assert len(memo) == 2
 
     def test_off_host_gives_no_shares(self):
         host = make_host()
@@ -215,7 +238,7 @@ class TestShares:
         vm.state = VmState.RUNNING
         host.add_vm(vm)
         host.state = HostState.OFF
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert vm.share == 0.0
 
 
@@ -259,7 +282,7 @@ class TestPower:
 
     def test_idle_on_draws_idle(self):
         host = make_host()
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert host.power_watts() == 230.0
 
     def test_loaded_host_follows_table_i(self):
@@ -267,7 +290,7 @@ class TestPower:
         vm = make_vm(1, cpu=400.0)
         vm.state = VmState.RUNNING
         host.add_vm(vm)
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert host.power_watts() == pytest.approx(304.0)
 
 

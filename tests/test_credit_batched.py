@@ -1,23 +1,15 @@
-"""Differential harness for the batched engine refresh (PR 9).
+"""Credit-share solver and share-memo tests, in three layers:
 
-Three layers of proof that the vectorized credit-share path is exactly
-the scalar path:
-
-* solver level — :func:`repro.cluster.xen.compute_shares_batch` versus
-  per-row :func:`compute_shares`, bit for bit, over hypothesis-driven
-  random batches (ragged lengths, zero caps/weights, tiny capacities,
-  default and explicit weights);
-* kernel level — :func:`repro.cluster.vm.batch_eta` versus
-  :meth:`Vm.eta`, and :meth:`Simulator.at_many` versus per-item
-  :meth:`Simulator.at` (same fired order on both heap paths);
-* engine level — whole simulations with ``batched_refresh`` on and off
-  (chaos, quarantine and the power manager included) must produce equal
+* solver level — the water-filling fairness properties of
+  :func:`repro.cluster.xen.compute_shares` (conservation, cap respect,
+  weight monotonicity, permutation equivariance) and its degenerate-input
+  hardening (NaN/inf rejection, weight-sum overflow, empty demand);
+* memo level — :class:`ShareMemo` hits return the solved floats, keys
+  are ordered, eviction is FIFO and the memo pickles;
+* engine level — whole simulations with the share memo on versus every
+  lookup forced to miss (so every share problem reaches the solver),
+  chaos, quarantine and the power manager included, must produce equal
   ``SimulationResult.canonical()`` rows and event traces.
-
-Plus the water-filling fairness properties that hold regardless of the
-execution path (conservation, cap respect, weight monotonicity,
-permutation equivariance) and the degenerate-input hardening added with
-the batch: NaN/inf rejection, weight-sum overflow, empty demand.
 """
 
 import pickle
@@ -28,22 +20,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster.faults import FaultConfig
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.vm import Vm, VmState, batch_eta
-from repro.cluster.xen import (
-    CreditScheduler,
-    ShareMemo,
-    compute_shares,
-    compute_shares_batch,
-)
-from repro.des.simulator import Simulator
+from repro.cluster.xen import CreditScheduler, ShareMemo, compute_shares
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import DatacenterSimulation
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.scheduling.power_manager import PowerManagerConfig
 from repro.scheduling.score import ScoreConfig
 from repro.scheduling.score.policy import ScoreBasedPolicy
 from repro.units import HOUR
-from repro.workload.job import Job
 from repro.workload.synthetic import Grid5000WeekGenerator, SyntheticConfig
 
 # --------------------------------------------------------------- strategies
@@ -77,63 +61,6 @@ def share_problem(draw, max_domains=12):
         )
     )
     return draw(_capacity), caps, weights
-
-
-# ----------------------------------------------- solver-level bit identity
-
-
-class TestBatchedSolverOracle:
-    @settings(max_examples=200, deadline=None)
-    @given(problems=st.lists(share_problem(), min_size=0, max_size=10))
-    def test_batch_equals_scalar_bit_for_bit(self, problems):
-        """The tentpole contract: every row, float for float."""
-        capacities = [p[0] for p in problems]
-        caps_rows = [p[1] for p in problems]
-        weights_rows = [p[2] for p in problems]
-        batch = compute_shares_batch(capacities, caps_rows, weights_rows)
-        assert len(batch) == len(problems)
-        for i, (capacity, caps, weights) in enumerate(problems):
-            scalar = compute_shares(capacity, caps, weights)
-            assert batch[i].shape == scalar.shape
-            # Bitwise, not approximate: eta computations, event times and
-            # every committed baseline ride on these exact floats.
-            assert np.array_equal(batch[i], scalar), (i, capacity, caps, weights)
-
-    def test_all_weights_none_vector(self):
-        out = compute_shares_batch([300.0, 400.0], [[100.0, 300.0], [50.0]])
-        assert out[0].tolist() == compute_shares(300.0, [100.0, 300.0]).tolist()
-        assert out[1].tolist() == [50.0]
-
-    def test_empty_batch(self):
-        assert compute_shares_batch([], []) == []
-
-    def test_ragged_rows_with_empty_row(self):
-        out = compute_shares_batch(
-            [400.0, 100.0, 0.0],
-            [[], [80.0, 80.0], [50.0]],
-        )
-        assert out[0].size == 0
-        assert out[1].tolist() == compute_shares(100.0, [80.0, 80.0]).tolist()
-        assert out[2].tolist() == [0.0]
-
-    def test_length_mismatches_rejected(self):
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0], [60.0]])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0]], [[1.0], [2.0]])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0, 60.0]], [[1.0]])
-
-    def test_overflow_rows_delegate_to_scalar(self):
-        """Finite weights whose sum overflows use the scalar guard path."""
-        big = [1e308, 1e308]
-        scalar = compute_shares(100.0, big, big)
-        assert scalar.tolist() == [50.0, 50.0]  # still work-conserving
-        batch = compute_shares_batch(
-            [100.0, 300.0], [big, [100.0, 300.0]], [big, None]
-        )
-        assert np.array_equal(batch[0], scalar)
-        assert np.array_equal(batch[1], compute_shares(300.0, [100.0, 300.0]))
 
 
 # --------------------------------------------------------- fairness laws
@@ -189,7 +116,7 @@ class TestWaterFillingProperties:
 
         Only approximately in floating point: the water-filling sums are
         order-dependent, which is exactly why :class:`ShareMemo` keys on
-        the ordered tuple and why the batch solver preserves row order.
+        the ordered tuple.
         """
         perm = np.random.RandomState(seed).permutation(len(caps))
         base = compute_shares(200.0, caps)
@@ -219,8 +146,6 @@ class TestDegenerateInputs:
     def test_capacity_below_tolerance_allocates_nothing(self):
         shares = compute_shares(1e-13, [100.0, 100.0])
         assert shares.tolist() == [0.0, 0.0]
-        batch = compute_shares_batch([1e-13], [[100.0, 100.0]])
-        assert np.array_equal(batch[0], shares)
 
     def test_capacity_smaller_than_epsilon_times_demand(self):
         """Tiny-but-positive capacity terminates and conserves."""
@@ -232,22 +157,21 @@ class TestDegenerateInputs:
     def test_nonfinite_capacity_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             compute_shares(bad, [100.0])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([bad], [[100.0]])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_nonfinite_or_negative_caps_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             compute_shares(100.0, [50.0, bad])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0, bad]])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_nonfinite_or_negative_weights_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             compute_shares(100.0, [50.0, 50.0], weights=[1.0, bad])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0, 50.0]], [[1.0, bad]])
+
+    def test_weight_sum_overflow_stays_work_conserving(self):
+        """Finite weights whose sum overflows are rescaled, not NaN."""
+        big = [1e308, 1e308]
+        assert compute_shares(100.0, big, big).tolist() == [50.0, 50.0]
 
 
 # ------------------------------------------------------------- ShareMemo
@@ -302,115 +226,12 @@ class TestShareMemo:
         assert clone.get(("k",)) == (4.0,)
 
 
-# ----------------------------------------------------- batched eta kernel
-
-
-def _running_vm(vm_id, work, done, share, anchor):
-    vm = Vm(Job(job_id=vm_id, submit_time=0.0, runtime_s=work / 100.0,
-                cpu_pct=100.0, mem_mb=512.0))
-    vm.state = VmState.RUNNING
-    vm.work_done = done
-    vm.share = share
-    vm.last_progress_t = anchor
-    return vm
-
-
-class TestBatchEta:
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_matches_scalar_eta_bitwise(self, data):
-        now = data.draw(st.floats(min_value=0.0, max_value=1e6), label="now")
-        n = data.draw(st.integers(min_value=1, max_value=12), label="n")
-        vms = []
-        for i in range(n):
-            work = data.draw(st.floats(min_value=1.0, max_value=1e6))
-            done = data.draw(st.floats(min_value=0.0, max_value=work * 1.5))
-            share = data.draw(st.floats(min_value=1e-6, max_value=400.0))
-            anchor = data.draw(st.floats(min_value=0.0, max_value=now))
-            vms.append(_running_vm(i, work, done, share, anchor))
-        out = batch_eta(vms, now)
-        for i, vm in enumerate(vms):
-            expected = vm.eta(now)
-            assert out[i] == expected, (i, expected, out[i])
-
-    def test_finished_vm_maps_to_now(self):
-        vm = _running_vm(0, 100.0, 100.0, 50.0, 3.0)
-        assert batch_eta([vm], 7.5)[0] == 7.5 == vm.eta(7.5)
-
-
-# --------------------------------------------------------------- at_many
-
-
-class TestAtMany:
-    @staticmethod
-    def _fired_order(schedule):
-        """Run ``schedule(sim, record)`` and return the fired tags."""
-        sim = Simulator()
-        fired = []
-        schedule(sim, fired.append)
-        sim.run()
-        return fired
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        times=st.lists(
-            st.floats(min_value=0.0, max_value=100.0), min_size=0, max_size=24
-        ),
-        pre=st.integers(min_value=0, max_value=10),
-    )
-    def test_same_fired_order_as_per_item_at(self, times, pre):
-        """Batch scheduling fires identically to per-item ``at`` calls —
-        on both the heappush path (small batch vs. large heap) and the
-        extend-and-heapify path (``pre`` controls the live-heap size)."""
-
-        def batch(sim, record):
-            for j in range(pre):
-                sim.at(1000.0 + j, lambda j=j: record(("pre", j)))
-            sim.at_many(
-                times,
-                [lambda i=i: record(("batch", i)) for i in range(len(times))],
-            )
-
-        def per_item(sim, record):
-            for j in range(pre):
-                sim.at(1000.0 + j, lambda j=j: record(("pre", j)))
-            for i, t in enumerate(times):
-                sim.at(t, lambda i=i: record(("batch", i)))
-
-        assert self._fired_order(batch) == self._fired_order(per_item)
-
-    def test_handles_cancel_individually(self):
-        sim = Simulator()
-        fired = []
-        handles = sim.at_many(
-            [1.0] * 10, [lambda i=i: fired.append(i) for i in range(10)]
-        )
-        for h in handles[::2]:
-            h.cancel()
-        sim.run()
-        assert fired == [1, 3, 5, 7, 9]
-
-    def test_length_mismatch_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.at_many([1.0], [lambda: None, lambda: None])
-        with pytest.raises(SimulationError):
-            sim.at_many([1.0], [lambda: None], labels=["a", "b"])
-
-    def test_past_and_nonfinite_times_rejected(self):
-        sim = Simulator(start=10.0)
-        with pytest.raises(SimulationError):
-            sim.at_many([9.0] + [11.0] * 9, [lambda: None] * 10)
-        with pytest.raises(SimulationError):
-            sim.at_many([float("nan")] * 10, [lambda: None] * 10)
-
-
 # ----------------------------------------------- whole-engine differential
 
 _HORIZON_H = 8.0
 
 
-def _engine(*, batched, chaos, pm, seed=37):
+def _engine(*, chaos, pm, seed=37):
     cfg = SyntheticConfig(horizon_s=_HORIZON_H * HOUR, base_rate_per_hour=28.0)
     trace = Grid5000WeekGenerator(cfg, seed=seed).generate()
     return DatacenterSimulation(
@@ -422,12 +243,19 @@ def _engine(*, batched, chaos, pm, seed=37):
         ),
         config=EngineConfig(
             seed=seed,
-            batched_refresh=batched,
             faults=FaultConfig.uniform(0.10) if chaos else None,
             chaos_seed=11 if chaos else None,
             trace_events=True,
         ),
     )
+
+
+def _run_forced_miss(engine):
+    """Run ``engine`` with every memo lookup missing: each share problem
+    reaches :func:`compute_shares`, the reference the memo must match."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ShareMemo, "get", lambda self, key: None)
+        return engine.run()
 
 
 def _trace_sig(engine):
@@ -438,7 +266,7 @@ def _trace_sig(engine):
 
 
 class TestEngineDifferential:
-    """Batched default vs. scalar oracle over full runs.
+    """Share memo on vs. every lookup forced to miss, over full runs.
 
     Chaos injects failed creations / aborted migrations / quarantines and
     the power manager injects boot/shutdown churn — together they exercise
@@ -446,19 +274,22 @@ class TestEngineDifferential:
     empty refreshes, hosts leaving mid-operation).
     """
 
+    def _assert_memo_equals_forced_miss(self, **kw):
+        memo = _engine(**kw)
+        forced = _engine(**kw)
+        res_m = memo.run()
+        res_f = _run_forced_miss(forced)
+        assert res_m.canonical() == res_f.canonical()
+        assert _trace_sig(memo) == _trace_sig(forced)
+        # The memo did real work on one side and none on the other.
+        assert res_m.share_memo_stats["hits"] > 0
+        assert res_f.share_memo_stats["hits"] == 0
+
     @pytest.mark.parametrize("pm", [False, True], ids=["pm-off", "pm-on"])
     @pytest.mark.parametrize("chaos", [False, True],
                              ids=["chaos-off", "chaos-on"])
-    def test_batched_equals_scalar(self, chaos, pm):
-        batched = _engine(batched=True, chaos=chaos, pm=pm)
-        scalar = _engine(batched=False, chaos=chaos, pm=pm)
-        res_b = batched.run()
-        res_s = scalar.run()
-        assert res_b.canonical() == res_s.canonical()
-        assert _trace_sig(batched) == _trace_sig(scalar)
-        # The memo did real work on the batched side and none on scalar.
-        assert res_b.share_memo_stats["hits"] > 0
-        assert res_s.share_memo_stats == {}
+    def test_memo_equals_forced_miss(self, chaos, pm):
+        self._assert_memo_equals_forced_miss(chaos=chaos, pm=pm)
 
     @settings(
         max_examples=4,
@@ -466,15 +297,13 @@ class TestEngineDifferential:
         suppress_health_check=[HealthCheck.data_too_large],
     )
     @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_batched_equals_scalar_random_workloads(self, seed):
+    def test_memo_equals_forced_miss_random_workloads(self, seed):
         """Random workload realizations, chaos + pm on (the worst case)."""
-        res_b = _engine(batched=True, chaos=True, pm=True, seed=seed).run()
-        res_s = _engine(batched=False, chaos=True, pm=True, seed=seed).run()
-        assert res_b.canonical() == res_s.canonical()
+        self._assert_memo_equals_forced_miss(chaos=True, pm=True, seed=seed)
 
     def test_memo_stats_are_operational(self):
         """``share_memo_stats`` never enters the canonical contract."""
-        res = _engine(batched=True, chaos=False, pm=False).run()
+        res = _engine(chaos=False, pm=False).run()
         assert res.share_memo_stats["misses"] >= 1
         assert "share_memo_stats" not in res.canonical()
         assert "share_memo_stats" in res.__class__.OPERATIONAL_FIELDS

@@ -5,8 +5,8 @@ Three layers of incremental bookkeeping replaced from-scratch scans:
 * :class:`Host` occupancy aggregates (cached cpu/mem sums for residents
   and reservations, the exclusive counter) behind ``cpu_reserved`` /
   ``mem_reserved`` / ``has_exclusive``;
-* :meth:`Host.recompute_shares`'s positional credit-scheduler interface
-  (replacing the f-string-keyed dict round trip);
+* :meth:`Host.recompute_shares`'s positional, memoized credit-scheduler
+  interface (replacing the f-string-keyed dict round trip);
 * :class:`MetricsCollector`'s delta-maintained node-state totals, fed by
   per-host transitions from the engine's dirty sweep;
 * :class:`ScoreMatrixBuilder`'s reusable :class:`HostArrayCache`.
@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.host import Host, HostState, Operation, OperationKind
 from repro.cluster.spec import FAST, MEDIUM, SLOW, HostSpec
 from repro.cluster.vm import Vm, VmState
+from repro.cluster.xen import ShareMemo
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import DatacenterSimulation
 from repro.errors import CapacityError, StateError
@@ -262,11 +263,14 @@ class TestRecomputeSharesIdentity:
             ))
 
         expect_shares, expect_used = legacy_recompute_shares(host)
-        host.recompute_shares()
-        assert host.cpu_used == expect_used
-        for vm in host.vms.values():
-            if vm.vm_id in expect_shares:
-                assert vm.share == expect_shares[vm.vm_id], vm.vm_id
+        memo = ShareMemo()
+        # Cold memo (a solve), then warm (a hit): both match the reference.
+        for _ in range(2):
+            host.recompute_shares(memo)
+            assert host.cpu_used == expect_used
+            for vm in host.vms.values():
+                if vm.vm_id in expect_shares:
+                    assert vm.share == expect_shares[vm.vm_id], vm.vm_id
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.host import Host, HostState
 from repro.cluster.spec import HostSpec
 from repro.cluster.vm import Vm, VmState
+from repro.cluster.xen import ShareMemo
 from repro.engine.metrics import MetricsCollector
 from repro.engine.results import SimulationResult, results_table
 from repro.workload.job import Job
@@ -100,7 +101,7 @@ class TestMetricsCollector:
 
     def test_power_refresh_accumulates_energy(self):
         host = self._host()
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         m = MetricsCollector([host])
         m.refresh_power(0.0, host)
         m.close(3600.0)
@@ -109,7 +110,7 @@ class TestMetricsCollector:
 
     def test_power_refresh_skips_unchanged(self):
         host = self._host()
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         m = MetricsCollector([host])
         m.refresh_power(0.0, host)
         m.refresh_power(1.0, host)  # no change: no new step recorded

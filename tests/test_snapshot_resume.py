@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster.faults import FaultConfig
 from repro.cluster.spec import ClusterSpec
+from repro.cluster.xen import ShareMemo
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import DatacenterSimulation
 from repro.engine.snapshot import (
@@ -153,47 +154,51 @@ class TestKillResumeBitIdentity:
         assert result.snapshot_restores == 0
 
 
-# ---------------------------------------- batched-refresh differentials
+# -------------------------------------------- share-memo differentials
 
 
-class TestBatchedRefreshDifferential:
-    """The PR 9 whole-sim oracle: ``batched_refresh`` is invisible.
+def run_forced_miss(engine):
+    """Run ``engine`` with every share-memo lookup missing, so each share
+    problem reaches the solver: the reference the memo must match."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ShareMemo, "get", lambda self, key: None)
+        return engine.run()
 
-    The batched credit-share path must be bit-identical to the scalar
-    loop over entire runs — including runs that are killed and resumed
-    with a populated share memo, and runs resumed under the *other*
-    mode (the flag is operational, not part of the snapshot
-    fingerprint).
+
+class TestShareMemoDifferential:
+    """The engine's share memo is invisible in every result.
+
+    Memo-on runs must be bit-identical to runs whose every lookup is
+    forced to miss — over entire runs, and across kill/resume with a
+    warm memo, a cold memo, or a forced-miss memo on the resumed side.
     """
 
-    def test_week_scale_batched_equals_scalar(self):
+    def test_week_scale_memo_equals_forced_miss(self):
         """A full simulated week (diurnal + weekend structure) at a rate
         sized to keep the pair of runs in tier-1 budget."""
         cfg = SyntheticConfig(horizon_s=7 * 24 * HOUR, base_rate_per_hour=4.0)
 
-        def run(batched):
-            engine = DatacenterSimulation(
+        def engine():
+            return DatacenterSimulation(
                 cluster=ClusterSpec.homogeneous(6),
                 policy=ScoreBasedPolicy(ScoreConfig.sb()),
                 trace=Grid5000WeekGenerator(cfg, seed=SEED).generate(),
                 pm_config=PowerManagerConfig(lambda_min=0.40, lambda_max=0.90),
-                config=EngineConfig(seed=SEED, batched_refresh=batched,
-                                    trace_events=True),
+                config=EngineConfig(seed=SEED, trace_events=True),
             )
-            return engine, engine.run()
 
-        eng_b, res_b = run(True)
-        eng_s, res_s = run(False)
-        assert res_b.canonical() == res_s.canonical()
-        assert trace_sig(eng_b) == trace_sig(eng_s)
-        # The memo earned its keep across the week on the batched side.
-        stats = res_b.share_memo_stats
+        eng_m, eng_f = engine(), engine()
+        res_m = eng_m.run()
+        res_f = run_forced_miss(eng_f)
+        assert res_m.canonical() == res_f.canonical()
+        assert trace_sig(eng_m) == trace_sig(eng_f)
+        # The memo earned its keep across the week.
+        stats = res_m.share_memo_stats
         assert stats["hits"] > stats["misses"]
-        assert res_s.share_memo_stats == {}
 
     def test_kill_resume_with_populated_memo(self, tmp_path):
         """Resume mid-run with a warm share memo: still bit-identical."""
-        ref = build_engine(None, chaos=True, pm=True).run().canonical()
+        ref = run_forced_miss(build_engine(None, chaos=True, pm=True)).canonical()
 
         engine = build_engine(tmp_path, chaos=True, pm=True)
         engine.run()
@@ -202,35 +207,29 @@ class TestBatchedRefreshDifferential:
         # Skip the t=0 snapshot: the memo must be demonstrably warm.
         for path in snaps[1:]:
             resumed = load_snapshot(path)
-            assert resumed._share_memo is not None
             assert len(resumed._share_memo) > 0
             resumed.adopt_operational(EngineConfig(seed=SEED))
             assert resumed.run().canonical() == ref, path.name
 
-    @pytest.mark.parametrize("first,second", [(True, False), (False, True)],
-                             ids=["batched-then-scalar", "scalar-then-batched"])
-    def test_cross_mode_resume(self, tmp_path, first, second):
-        """A snapshot taken under one mode resumes under the other.
+    @pytest.mark.parametrize("resume", ["cold-memo", "forced-miss"])
+    def test_resume_without_warm_memo(self, tmp_path, resume):
+        """A warm snapshot resumed with an empty memo, or with every
+        lookup missing, still matches the forced-miss reference run."""
+        ref = run_forced_miss(build_engine(None, chaos=True, pm=True)).canonical()
 
-        ``batched_refresh`` is excluded from the config fingerprint
-        precisely because the paths are bit-identical; this is the test
-        that keeps that exclusion honest.
-        """
-        ref = build_engine(None, chaos=True, pm=True,
-                           batched_refresh=second).run().canonical()
-
-        engine = build_engine(tmp_path, chaos=True, pm=True,
-                              batched_refresh=first)
+        engine = build_engine(tmp_path, chaos=True, pm=True)
         engine.run()
-        path = latest_snapshot(engine._snapshotter.directory)
         mid = list_snapshots(engine._snapshotter.directory)[1]
-        for snap in (mid, path):
+        for snap in (mid, latest_snapshot(engine._snapshotter.directory)):
             resumed = load_snapshot(snap)
-            resumed.adopt_operational(
-                EngineConfig(seed=SEED, batched_refresh=second)
-            )
-            assert resumed._batched_refresh is second
-            assert resumed.run().canonical() == ref, snap.name
+            assert len(resumed._share_memo) > 0
+            resumed.adopt_operational(EngineConfig(seed=SEED))
+            if resume == "cold-memo":
+                resumed._share_memo = ShareMemo()
+                result = resumed.run()
+            else:
+                result = run_forced_miss(resumed)
+            assert result.canonical() == ref, snap.name
 
 
 # -------------------------------------------------------- graceful stops
